@@ -10,9 +10,17 @@ The scenario also meters the SoA batch-assembly kernels
 assembly + interval loop over the same prepared SELJOIN plans:
 ``soa_assembly_retained`` carries a hard floor on the speedup and
 ``soa_assembly_bitwise`` hard-floors bit-identical outputs.
+
+Cost-function fitting is metered the same way against the scalar
+per-(operator, unit, grid point) fitter kept in ``tests/
+fitting_oracle.py`` (loaded by path, so only one copy exists), cold on
+both sides — no NNLS memo: ``fitting_retained`` hard-floors the speedup
+and ``fitting_bitwise`` bit-identical fits over every SELJOIN plan.
 """
 
+import importlib.util
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +39,15 @@ from repro.service.kernels import (
 ASSEMBLY_VARIANTS = tuple(Variant)
 ASSEMBLY_MPLS = (1, 2, 4)
 ASSEMBLY_CONFIDENCES = (0.5, 0.9, 0.99)
+ORACLE_PATH = Path(__file__).resolve().parent.parent / "tests" / "fitting_oracle.py"
+
+
+def _scalar_fitter():
+    """The oracle fitter class, imported from ``tests/`` by file path."""
+    spec = importlib.util.spec_from_file_location("fitting_oracle", ORACLE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.ScalarCostFunctionFitter
 
 
 @register("predictor_latency", tags=("latency", "overhead"))
@@ -60,6 +77,32 @@ def scenario(ctx):
     metrics = [
         Metric(name, ctx.best_of(func, repetitions)[0], kind="timing", unit="s")
         for name, func in stages.items()
+    ]
+
+    # Cold fitting vs the scalar oracle over every SELJOIN plan.
+    fit_inputs = [
+        (query.planned, SelectivityEstimator(samples, query.planned).estimate())
+        for query in lab.executed_queries("uniform-small", "SELJOIN")
+    ]
+    oracle = _scalar_fitter()
+    oracle_seconds, oracle_fits = ctx.best_of(
+        lambda: [oracle(p, e).fit_all() for p, e in fit_inputs], repetitions
+    )
+    array_seconds, array_fits = ctx.best_of(
+        lambda: [CostFunctionFitter(p, e).fit_all() for p, e in fit_inputs],
+        repetitions,
+    )
+    metrics += [
+        Metric(
+            "fitting_retained", oracle_seconds / array_seconds,
+            kind="ratio", floor=2.0,
+        ),
+        Metric(
+            "fitting_bitwise",
+            1.0 if _fit_bytes(array_fits) == _fit_bytes(oracle_fits) else 0.0,
+            kind="ratio",
+            floor=1.0,
+        ),
     ]
 
     # SoA batch assembly vs the scalar per-result loop, over every
@@ -99,6 +142,21 @@ def scenario(ctx):
         ),
     ]
     return metrics
+
+
+def _fit_bytes(fits):
+    """Every fitted coefficient, residual and dropped unit, as bytes."""
+    return [
+        (
+            op_id,
+            unit,
+            function.coefficients.tobytes(),
+            struct.pack("<d", function.fit_residual),
+        )
+        for fitted in fits
+        for op_id, functions in fitted.items()
+        for unit, function in functions.functions.items()
+    ]
 
 
 def _assemble_scalar(entries, concurrent):

@@ -12,14 +12,23 @@ for those functions. It is used three ways:
 2. by the executor + hardware simulator, with *true* cardinalities, to
    produce ground-truth running times;
 3. by the predictor's cost-function fitting (Section 4), which invokes
-   it on a grid of candidate selectivities to recover the coefficients
+   it once per operator with numpy arrays of candidate cardinalities —
+   the whole selectivity grid in one call — to recover the coefficients
    of the C1..C6 families.
+
+Array inputs are evaluated element by element with exactly the scalar
+arithmetic: every formula is a product or sum numpy computes with the
+same IEEE operation, and the one libm call (SORT's ``log2``) is applied
+per element through ``math.log2``, because ``np.log2`` differs from it
+in the last bit for some inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..errors import PlanError
 from ..plan.physical import (
@@ -82,6 +91,20 @@ class ResourceCounts:
         return sum(counts[name] * units[name] for name in COST_UNIT_NAMES)
 
 
+def _log2_at_least_2(n):
+    """``math.log2(max(n, 2.0))``, element by element for arrays."""
+    if isinstance(n, np.ndarray):
+        return np.array([math.log2(max(value, 2.0)) for value in n.tolist()])
+    return math.log2(max(n, 2.0))
+
+
+def _minimum(a, b):
+    """``min(a, b)`` that also broadcasts over arrays."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.minimum(a, b)
+    return min(a, b)
+
+
 class CostModel:
     """Computes :class:`ResourceCounts` per operator from cardinalities."""
 
@@ -92,9 +115,9 @@ class CostModel:
     def operator_counts(
         self,
         node: PlanNode,
-        n_left: float,
-        n_right: float,
-        m_out: float,
+        n_left: float | np.ndarray,
+        n_right: float | np.ndarray,
+        m_out: float | np.ndarray,
         fetched: float | None = None,
     ) -> ResourceCounts:
         """Resource counts for one operator.
@@ -103,6 +126,11 @@ class CostModel:
         output cardinality. For index scans, ``fetched`` overrides the
         modeled number of heap fetches (the executor passes the true
         value; the optimizer and the fitting grid leave it None).
+
+        Any cardinality may be a numpy array (the fitting grid); the
+        counts then broadcast over it, bit-identical per element to the
+        scalar call. Counts that do not depend on an array input (a seq
+        scan's) stay scalars.
         """
         kind = node.kind
         if kind is OpKind.SEQ_SCAN:
@@ -127,14 +155,14 @@ class CostModel:
                 no=COMPARE_OPS * n_left * n_right,
             )
         if kind is OpKind.SORT:
-            comparisons = n_left * math.log2(max(n_left, 2.0))
+            comparisons = n_left * _log2_at_least_2(n_left)
             return ResourceCounts(nt=n_left, no=2.0 * COMPARE_OPS * comparisons)
         if kind is OpKind.AGGREGATE:
             return self._aggregate_counts(node, n_left)
         if kind is OpKind.MATERIALIZE:
             return ResourceCounts(nt=n_left, no=n_left)
         if kind is OpKind.LIMIT:
-            return ResourceCounts(nt=min(n_left, m_out))
+            return ResourceCounts(nt=_minimum(n_left, m_out))
         raise PlanError(f"cost model: unknown operator kind {kind}")
 
     # -- per-operator helpers -------------------------------------------

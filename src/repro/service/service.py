@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from ..calibration.calibrator import CalibratedUnits
-from ..caching import CacheStats
+from ..caching import ByteBudgetLRU, CacheStats
 from ..core.concurrency import ConcurrentPredictor, InterferenceModel
 from ..core.predictor import (
     PredictionResult,
@@ -43,7 +43,7 @@ from ..core.predictor import (
     Variant,
 )
 from ..core.variance import VarianceBreakdown
-from ..costfuncs.fitting import DEFAULT_GRID_W
+from ..costfuncs.fitting import DEFAULT_GRID_W, FIT_MEMO_BYTES
 from ..errors import PredictionError, error_code
 from ..mathstats.normal import NormalDistribution
 from ..optimizer.cost_model import COST_UNIT_NAMES
@@ -285,6 +285,10 @@ class PredictionService:
             if sampling_engine_bytes > 0
             else None
         )
+        # Cold prepares of different queries re-solve many identical
+        # NNLS problems (every scan of one table fits the same
+        # constants); the memo is locked and shares read-only arrays.
+        self._fit_memo = ByteBudgetLRU(FIT_MEMO_BYTES)
         # Guards ServiceStats counter updates and snapshots. The engine
         # itself is not thread-safe (callers serialize serving calls —
         # the Session facade does), but monitoring must be: report()
@@ -386,6 +390,7 @@ class PredictionService:
             use_gee=self._use_gee,
             method=self._method,
             engine=self._engine,
+            fit_memo=self._fit_memo,
         )
         self._prepared.put(key, prepared)
         self._count(prepares_run=1)

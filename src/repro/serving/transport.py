@@ -152,7 +152,13 @@ class ServingHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            raise WireError(
+                f"Content-Length must be an integer, got {declared!r}"
+            ) from None
         if length <= 0:
             raise WireError("request needs a JSON body with Content-Length")
         return loads(self.rfile.read(length))

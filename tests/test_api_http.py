@@ -7,6 +7,8 @@ the in-process :class:`repro.api.Session`, the acceptance criterion of
 the serving front-end.
 """
 
+import http.client
+import json
 import threading
 import urllib.request
 
@@ -144,6 +146,27 @@ class TestErrorTaxonomy:
         with pytest.raises(ApiError) as caught:
             client.request_json("POST", "/v1/predict")
         assert caught.value.status == 400
+
+    @pytest.mark.parametrize("declared", ["abc", "12abc", "1.5", ""])
+    def test_bad_content_length_is_coded_400(self, server, client, declared):
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=10
+        )
+        try:
+            connection.putrequest("POST", "/v1/predict")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", declared)
+            connection.endheaders()
+            response = connection.getresponse()
+            record = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert record["error"]["code"] == "bad-request"
+        if declared:
+            assert "Content-Length" in record["error"]["message"]
+        # the refused request gave its admission slot back
+        assert client.stats().admission.in_flight == 0
 
     def test_invalid_fanout_payload_is_400(self, client):
         for payload in (

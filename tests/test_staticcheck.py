@@ -482,6 +482,7 @@ class TestDeterminism:
 
 
 KERNEL_PATH = "src/repro/service/kernels.py"
+FITTING_PATH = "src/repro/costfuncs/fitting.py"
 
 
 class TestVectorization:
@@ -552,6 +553,25 @@ class TestVectorization:
         source = "for x in [1]:\n    y = float(x)\n"
         assert run_rule("vectorization", source, path="src/repro/service/service.py") == []
         assert run_rule("vectorization", source, path="benchmarks/bench_x.py") == []
+
+    def test_float_in_fitting_loop_flagged(self):
+        source = (
+            "def fit(nodes, grid):\n"
+            "    out = {}\n"
+            "    for node in nodes:\n"
+            "        out[node] = float(grid[node])\n"
+            "    return out\n"
+        )
+        (finding,) = run_rule("vectorization", source, path=FITTING_PATH)
+        assert "float()" in finding.message
+        assert finding.line == 4
+
+    def test_current_fitting_module_is_clean(self):
+        path = REPO_ROOT / FITTING_PATH
+        ctx = FileContext(path, root=REPO_ROOT, source=path.read_text())
+        check = ALL_CHECKS["vectorization"]
+        assert check.applies(ctx)
+        assert check.run(ctx) == []
 
     def test_current_kernels_module_is_clean(self):
         path = REPO_ROOT / "src" / "repro" / "service" / "kernels.py"

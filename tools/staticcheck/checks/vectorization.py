@@ -1,4 +1,4 @@
-"""Hot-array hygiene for the SoA batch kernels.
+"""Hot-array hygiene for the SoA batch kernels and cost-function fitting.
 
 ``src/repro/service/kernels.py`` exists so batch prediction runs as
 whole-array operations; its speedup over the scalar reference path is
@@ -15,6 +15,12 @@ kernel's loops:
   of any loop);
 * scalar accumulation (``acc += ...`` / ``acc = acc + ...`` on a bare
   name) — a python-level reduction where the array op belongs.
+
+``src/repro/costfuncs/fitting.py`` is held to the same rule: it fits
+each operator over a whole array grid (``fitting_retained`` in
+``benchmarks/bench_predictor_latency.py`` floors its speedup), and its
+only per-element calls — libm ``pow`` for the C4 square — go through
+the sanctioned ``.tolist()`` comprehension.
 
 This check flags both patterns inside any ``for``/``while`` loop of the
 registered hot-array modules. Assignments to *subscripts*
@@ -33,7 +39,10 @@ from ..core import Check, FileContext, Finding, register
 __all__ = ["HOT_ARRAY_MODULES", "VectorizationCheck"]
 
 #: Repo-relative modules held to whole-array discipline.
-HOT_ARRAY_MODULES = ("src/repro/service/kernels.py",)
+HOT_ARRAY_MODULES = (
+    "src/repro/service/kernels.py",
+    "src/repro/costfuncs/fitting.py",
+)
 
 
 def _loop_findings(ctx: FileContext, loop: ast.AST) -> list[Finding]:
